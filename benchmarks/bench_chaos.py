@@ -3,10 +3,12 @@
 Three sections, all gated on exact invariants rather than wall-clock:
 
 * **overhead** — a clean 10-point grid run plain (in-process) and
-  supervised (one forked worker per attempt, ``timeout_s`` armed).
-  The reports must be byte-identical: supervision is an execution
-  detail, never an output change.  The fork-per-point overhead ratio
-  is recorded but not gated (it tracks the machine's fork cost).
+  supervised (one forked pool worker reused for every point,
+  ``timeout_s`` armed).  The reports must be byte-identical:
+  supervision is an execution detail, never an output change.  The
+  overhead ratio — one fork plus a pipe round trip per point, over
+  near-zero in-process points — is recorded but not gated (it tracks
+  the machine's fork and IPC cost).
 * **chaos** — the same grid wrapped in :func:`repro.chaos.chaos_spec`
   (seeded sabotage: worker kills, hangs the supervisor must time out,
   raised :class:`~repro.chaos.ChaosError`, slow-downs).  Supervised
@@ -156,7 +158,7 @@ def _poison_quarantine(workers: int) -> dict:
 
 
 def _assert_no_orphans() -> None:
-    """Every forked attempt worker must be dead once the drill ends —
+    """Every forked pool worker must be dead once the drill ends —
     the supervisor's cleanup owns them, crashed or not."""
     import os
     import subprocess

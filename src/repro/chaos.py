@@ -24,7 +24,7 @@ run time:
   embedded in the chaos config, so the wrapped evaluation cannot tell
   it is running under chaos.
 * **Sabotage** consults :func:`repro.sweep.current_attempt` — set by
-  the supervisor in the forked attempt process — so chaos points are
+  the pool worker before each attempt — so chaos points are
   idempotent poison: hostile on early attempts, honest afterwards.
 
 Typical drill (also in ``EXPERIMENTS.md`` and the CI chaos-smoke job)::

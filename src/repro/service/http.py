@@ -83,9 +83,17 @@ class HttpRequest:
         return payload
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line, or a 400 when it overruns the reader's buffer limit."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # asyncio's LimitOverrunError, re-raised
+        raise HttpError(400, "request or header line too long") from exc
+
+
 async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     """Parse one request, or ``None`` if the peer closed the connection."""
-    line = await reader.readline()
+    line = await _readline(reader)
     if not line:
         return None
     parts = line.split()
@@ -95,7 +103,7 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
     headers: dict[str, str] = {}
     header_bytes = 0
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader)
         if raw in (b"\r\n", b"\n", b""):
             break
         header_bytes += len(raw)
@@ -108,6 +116,8 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError as exc:
         raise HttpError(400, "bad Content-Length") from exc
+    if length < 0:
+        raise HttpError(400, "bad Content-Length")
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length > 0 else b""

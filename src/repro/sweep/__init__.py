@@ -7,9 +7,11 @@ package is the shared fan-out + memoization layer those sweeps run on:
 
 * :func:`grid` / :class:`SweepSpec` — declare a Cartesian grid or an
   explicit point list over any registered target;
-* :func:`run_sweep` — evaluate the points across a process pool, each
-  with a child seed derived from the root seed and the point's
-  canonical config, so output is byte-identical at any worker count;
+* :func:`run_sweep` — evaluate the points in-process or on a pool of
+  forked workers supervised over pipes (a dead worker costs only its
+  point), each with a child seed derived from the root seed and the
+  point's canonical config, so output is byte-identical at any worker
+  count;
 * :class:`SweepCache` — a content-addressed on-disk cache keyed by
   target + canonical config + seed + package version, so an unchanged
   point is never recomputed and an edited sweep re-runs incrementally;

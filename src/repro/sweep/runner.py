@@ -5,13 +5,13 @@
 1. **Cache probe** — each point's content-addressed key is looked up
    in the :class:`SweepCache` (when one is given); hits skip
    evaluation entirely.
-2. **Fan-out** — misses run through a ``ProcessPoolExecutor``
-   (``fork`` start method where available, so targets registered at
-   runtime are visible in workers).  Each point carries its own child
-   seed derived from the root seed and the point's canonical config
-   (:meth:`SweepSpec.point_seed`), so results are byte-identical
-   regardless of worker count or completion order — pinned by
-   ``tests/test_sweep.py``.
+2. **Fan-out** — misses run in-process (one worker, or one miss,
+   unsupervised) or on the forked worker pool of
+   :mod:`repro.sweep.supervise` (every other case).  Each point
+   carries its own child seed derived from the root seed and the
+   point's canonical config (:meth:`SweepSpec.point_seed`), so results
+   are byte-identical regardless of worker count or completion order —
+   pinned by ``tests/test_sweep.py``.
 3. **Cache fill** — fresh results are written back atomically, so an
    interrupted sweep resumes where it stopped and a re-run after a
    config edit recomputes only the new/changed points.
@@ -36,31 +36,27 @@ Long-lived callers (the experiment service) hook in three ways: an
 and ``strict=False`` turns per-point failures into structured error
 records instead of aborting the whole sweep.
 
-Hostile points — ones that hang, kill their own worker, or fail
-transiently — wedge or abort the pool paths above.  Passing
-``supervise=SupervisorPolicy(...)`` routes evaluation through
-:mod:`repro.sweep.supervise` instead: one forked process per attempt
-with per-attempt timeouts, worker-death recovery, deterministic-backoff
-retries, and poison-point quarantine.
+A worker that dies mid-point costs only that point (a ``WorkerDied``
+error record, or :class:`~repro.sweep.supervise.PointQuarantined`
+under ``strict``); the pool replaces it and finishes the grid.
+Passing ``supervise=SupervisorPolicy(...)`` arms the same pool against
+hostile points: per-attempt timeouts, deterministic-backoff retries,
+and poison-point quarantine.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import sys
 import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
 from ..obs import NULL_TRACER, MetricsRegistry, Tracer
 from ..obs.summary import print_table
 from .cache import SweepCache
-from .spec import SweepSpec, canonical_config
-from .supervise import SupervisorPolicy, run_supervised
-from .targets import get_target
+from .spec import SweepSpec
+from .supervise import SupervisorPolicy, _evaluate, run_supervised
 
 __all__ = [
     "PointResult",
@@ -219,50 +215,6 @@ def merged_windows_section(points) -> dict | None:
     }
 
 
-def _evaluate(
-    target: str, config: dict, seed: int, epoch: float, capture: bool = False
-) -> tuple[dict | None, dict | None, float, float]:
-    """Worker entry point: run one target and time it.
-
-    Returns ``(result, error, start_offset, elapsed)`` with the start
-    offset relative to the sweep's epoch, so the parent can lay the
-    point out as a span on a shared wall-clock timeline.  With
-    ``capture`` (the ``strict=False`` path) an exception becomes a
-    structured error record instead of propagating — the traceback is
-    formatted *here*, in the failing process, so the record is
-    identical whether the point ran in-process or in a forked worker.
-    """
-    start = time.perf_counter()
-    error = None
-    if capture:
-        try:
-            result = get_target(target)(config, seed)
-        except Exception as exc:  # noqa: BLE001 - converted to a record
-            result = None
-            error = {
-                "target": target,
-                "config": canonical_config(config),
-                "seed": seed,
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": "".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ),
-            }
-    else:
-        result = get_target(target)(config, seed)
-    end = time.perf_counter()
-    return result, error, start - epoch, end - start
-
-
-def _pool_context():
-    """Prefer ``fork``: cheap on Linux and it inherits targets
-    registered after import (custom bench/test targets)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None  # platform default
-
-
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -280,7 +232,13 @@ def run_sweep(
 
     Args:
         spec: The sweep declaration.
-        workers: Process fan-out for cache misses (1 = in-process).
+        workers: Process fan-out for cache misses.  With 1 (or a single
+            miss) and no ``supervise``, points run in-process; otherwise
+            they run on a pool of at most ``workers`` forked processes
+            (:func:`~repro.sweep.supervise.run_supervised`), where a
+            worker that dies costs only its point — a ``WorkerDied``
+            error record, or :class:`~repro.sweep.supervise.PointQuarantined`
+            under ``strict``.
         cache: Result cache; ``None`` disables caching entirely.
         tracer: Optional span tracer (defaults to the null object).
         metrics: Optional registry for counters and the progress gauge.
@@ -296,17 +254,16 @@ def run_sweep(
             order.  This is the push-style progress hook the experiment
             service streams SSE events from; it runs on the sweep
             thread, so callbacks must be cheap and must not raise.
-        interrupt: Polled between completions; returning ``True``
-            cancels the pending work and raises
-            :class:`SweepInterrupted`.  Completed points are already
-            cached, so the same spec resumes incrementally.
-        supervise: Evaluate cache misses under a
+        interrupt: Polled before each in-process point and on every
+            pool tick; returning ``True`` cancels the pending work and
+            raises :class:`SweepInterrupted`.  Completed points are
+            already cached, so the same spec resumes incrementally.
+        supervise: Arm the worker pool with a
             :class:`~repro.sweep.supervise.SupervisorPolicy` — every
-            point (even at ``workers=1``) runs in its own forked
-            process with per-attempt timeouts, worker-death recovery,
-            deterministic-backoff retries, and quarantine after
-            ``max_attempts`` failures.  With ``strict=True`` a
-            quarantined point raises
+            miss (even at ``workers=1``) runs on the pool with
+            per-attempt timeouts, deterministic-backoff retries, and
+            quarantine after ``max_attempts`` failures.  With
+            ``strict=True`` a quarantined point raises
             :class:`~repro.sweep.supervise.PointQuarantined`; with
             ``strict=False`` it becomes a worker-count-independent
             ``PointQuarantined`` error record (never cached).
@@ -384,10 +341,14 @@ def run_sweep(
         if on_point is not None:
             on_point(_point(i))
 
-    capture = not strict
     if _interrupted():
         raise SweepInterrupted(done, total)
-    if supervise is not None and missing:
+    if supervise is None and (workers == 1 or len(missing) <= 1):
+        for i in missing:
+            if _interrupted():
+                raise SweepInterrupted(done, total)
+            _finish(i, *_evaluate(spec.target, configs[i], seeds[i], epoch, not strict))
+    else:
         try:
             run_supervised(
                 target=spec.target,
@@ -404,35 +365,6 @@ def run_sweep(
             )
         except InterruptedError:
             raise SweepInterrupted(done, total) from None
-    elif len(missing) > 1 and workers > 1:
-        ctx = _pool_context()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(missing)), mp_context=ctx
-        ) as pool:
-            pending = {
-                pool.submit(
-                    _evaluate, spec.target, configs[i], seeds[i], epoch, capture
-                ): i
-                for i in missing
-            }
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = pending.pop(future)
-                    result, error, started, elapsed = future.result()
-                    _finish(i, result, error, started, elapsed)
-                if pending and _interrupted():
-                    for future in pending:
-                        future.cancel()
-                    raise SweepInterrupted(done, total)
-    else:
-        for i in missing:
-            if _interrupted():
-                raise SweepInterrupted(done, total)
-            result, error, started, elapsed = _evaluate(
-                spec.target, configs[i], seeds[i], epoch, capture
-            )
-            _finish(i, result, error, started, elapsed)
 
     wall = time.perf_counter() - epoch
     tracer.process(0, f"sweep:{spec.name or spec.target}")

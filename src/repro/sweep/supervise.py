@@ -1,22 +1,24 @@
-"""Supervised sweep execution: timeouts, retries, quarantine, recovery.
+"""The sweep worker pool: forked workers supervised over pipes.
 
-The plain :func:`repro.sweep.run_sweep` fan-out trusts its workers: a
-point that hangs forever wedges the sweep, and a worker that dies
-(OOM-killed, segfaulted, SIGKILL'd) breaks the whole
-``ProcessPoolExecutor`` and aborts the grid.  That is exactly the
-failure model the paper's reliability sections (§5) argue a control
-plane must survive — so this module applies the repository's own
-fault-injection philosophy to the sweep engine itself.
+Every multi-process sweep runs on :func:`run_supervised`.  It forks up
+to ``min(workers, len(points))`` long-lived workers, each talking to
+the parent over its own pipe.  A worker loops: receive
+``(index, attempt)``, evaluate that point, send the outcome back.  The
+parent hands eligible attempts to idle workers and watches every pipe,
+so each failure mode touches only the point that caused it:
 
-:func:`run_supervised` replaces the shared pool with **one forked
-process per attempt**, each reporting over its own pipe, so the
-supervisor can observe and act on every failure mode independently:
+* **worker death** — a worker whose pipe hits EOF without a reply
+  (killed from outside, OOM-killed, or killed by the point itself) is
+  reaped, and the attempt becomes a structured ``WorkerDied`` failure;
+* **timeout** — an attempt that exceeds ``timeout_s`` gets its worker
+  SIGKILL'd and reaped, and becomes a ``PointTimeout`` failure.
 
-* **timeout** — an attempt that exceeds ``timeout_s`` is SIGKILL'd and
-  recorded as a structured ``PointTimeout`` failure;
-* **worker death** — an attempt whose process exits without reporting
-  (killed from outside, or from *inside* by the point itself) is a
-  ``WorkerDied`` failure; only that point is affected, never the grid;
+A dead or killed worker is replaced by a fresh fork when the next
+attempt needs one, so a sweep forks at most ``workers`` processes plus
+one per death or timeout kill.
+
+With a :class:`SupervisorPolicy` the pool also defends the sweep:
+
 * **retry** — failed attempts are retried up to
   ``SupervisorPolicy.max_attempts`` with exponential backoff whose
   jitter derives from the point's content seed
@@ -28,11 +30,18 @@ supervisor can observe and act on every failure mode independently:
   count and are never written to the result cache, so a later run
   (with the poison fixed) retries them.
 
-Every spawned process is joined (or killed and joined) before
-:func:`run_supervised` returns — including on interrupt and on
-exception — so a supervised sweep never leaks orphan workers.
+Without a policy the pool runs each point once with no deadline.  A
+failure is then delivered as the plain :func:`_evaluate` error record
+(``strict=False``, byte-identical to in-process evaluation), or
+re-raised in the parent as the original exception (``strict=True``).
+A worker death under ``strict=True`` raises :class:`PointQuarantined`
+with its single ``WorkerDied`` failure.
 
-The observable counters (``sweep.retries``, ``sweep.timeouts``,
+Every worker is killed and joined before :func:`run_supervised`
+returns — including on interrupt and on exception — so a sweep never
+leaks orphan processes.
+
+The supervised counters (``sweep.retries``, ``sweep.timeouts``,
 ``sweep.worker_deaths``, ``sweep.quarantined``) land in the metrics
 registry passed by the caller, which is how the experiment service
 exports them as ``/metrics`` families per job.
@@ -40,7 +49,10 @@ exports them as ``/metrics`` families per job.
 
 from __future__ import annotations
 
+import heapq
+import multiprocessing
 import time
+import traceback
 from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Callable
@@ -48,6 +60,7 @@ from typing import Callable
 from ..core.rng import derive_seed
 from ..obs import MetricsRegistry
 from .spec import canonical_config
+from .targets import get_target
 
 __all__ = [
     "PointQuarantined",
@@ -58,10 +71,9 @@ __all__ = [
 ]
 
 #: Attempt number of the point evaluation running in *this* process
-#: (1-based).  Set by the supervisor in the forked child before the
-#: target runs; stays 1 in unsupervised / in-process evaluation.  Chaos
-#: policies (:mod:`repro.chaos`) read it to sabotage only early
-#: attempts.
+#: (1-based).  Set by a pool worker before each evaluation; stays 1 in
+#: in-process evaluation.  Chaos policies (:mod:`repro.chaos`) read it
+#: to sabotage only early attempts.
 _ATTEMPT = 1
 
 #: Supervisor poll tick (seconds): the upper bound on how late a
@@ -133,18 +145,40 @@ def retry_delay_s(policy: SupervisorPolicy, point_seed: int, attempt: int) -> fl
     return base * (0.5 + 0.5 * jitter)
 
 
-def _failure_record(
-    kind: str, message: str, *, target: str, config: dict, seed: int, attempt: int
-) -> dict:
-    """One structured attempt-failure record (parent-side kinds)."""
-    return {
-        "target": target,
-        "config": canonical_config(config),
-        "seed": seed,
-        "type": kind,
-        "message": message,
-        "attempt": attempt,
-    }
+def _evaluate(
+    target: str, config: dict, seed: int, epoch: float, capture: bool = False
+) -> tuple[dict | None, dict | None, float, float]:
+    """Run one target and time it (in-process or in a pool worker).
+
+    Returns ``(result, error, start_offset, elapsed)`` with the start
+    offset relative to the sweep's epoch, so the parent can lay the
+    point out as a span on a shared wall-clock timeline.  With
+    ``capture`` an exception becomes a structured error record instead
+    of propagating — the traceback is formatted *here*, in the failing
+    process, so the record is identical whether the point ran
+    in-process or in a pool worker.
+    """
+    start = time.perf_counter()
+    error = None
+    if capture:
+        try:
+            result = get_target(target)(config, seed)
+        except Exception as exc:  # noqa: BLE001 - converted to a record
+            result = None
+            error = {
+                "target": target,
+                "config": canonical_config(config),
+                "seed": seed,
+                "type": type(exc).__name__,
+                "message": str(exc),
+                "traceback": "".join(
+                    traceback.format_exception(type(exc), exc, exc.__traceback__)
+                ),
+            }
+    else:
+        result = get_target(target)(config, seed)
+    end = time.perf_counter()
+    return result, error, start - epoch, end - start
 
 
 def _quarantine_record(
@@ -166,48 +200,48 @@ def _quarantine_record(
         f"({', '.join(kinds)})",
         "attempts": len(failures),
         "failures": [
-            {"attempt": f["attempt"], "type": f["type"], "message": f["message"]}
-            for f in failures
+            {"attempt": attempt, "type": f["type"], "message": f["message"]}
+            for attempt, f in enumerate(failures, 1)
         ],
     }
 
 
-def _attempt_main(conn, target: str, config: dict, seed: int, epoch: float, attempt: int):
-    """Child entry point: run one attempt, report over the pipe.
+def _worker_main(conn, inherited, target, configs, seeds, epoch, capture):
+    """Pool worker: evaluate the points the parent sends, until EOF.
 
-    Runs with capture on — an exception becomes a structured record
-    formatted here, in the failing process (identical to the
-    unsupervised ``strict=False`` records, plus the attempt number).
-    If the point kills its own process nothing is sent and the parent
-    reads EOF, which is precisely the worker-death signal.
+    ``inherited`` are the parent-side pipe ends this fork copied; closing
+    them leaves the parent their only holder, so a parent that dies
+    without cleaning up (SIGKILL) gives every idle worker an EOF.
+
+    A point that raises with ``capture`` off (strict, unsupervised)
+    sends the exception itself, for the parent to re-raise.  If the
+    point kills this process — or its reply cannot be pickled — nothing
+    is sent and the parent reads EOF, which is precisely the
+    worker-death signal.
     """
     global _ATTEMPT
-    _ATTEMPT = attempt
-    from .runner import _evaluate
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            index, _ATTEMPT = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = _evaluate(target, configs[index], seeds[index], epoch, capture)
+        except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+            reply = exc
+        conn.send(reply)
 
-    try:
-        result, error, started, elapsed = _evaluate(
-            target, config, seed, epoch, capture=True
-        )
-        if error is not None:
-            error["attempt"] = attempt
-        conn.send((result, error, started, elapsed))
-    finally:
-        conn.close()
 
+class _Worker:
+    """One pool process, its pipe, and the attempt it is running."""
 
-class _Running:
-    """One in-flight attempt: the process, its pipe, and its deadline."""
+    __slots__ = ("proc", "conn", "index", "attempt", "deadline", "started")
 
-    __slots__ = ("index", "attempt", "proc", "conn", "deadline", "started")
-
-    def __init__(self, index, attempt, proc, conn, deadline, started):
-        self.index = index
-        self.attempt = attempt
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.deadline = deadline
-        self.started = started
 
 
 def run_supervised(
@@ -216,7 +250,7 @@ def run_supervised(
     configs: list[dict],
     seeds: list[int],
     indices: list[int],
-    policy: SupervisorPolicy,
+    policy: SupervisorPolicy | None,
     workers: int,
     epoch: float,
     strict: bool,
@@ -224,146 +258,163 @@ def run_supervised(
     interrupted: Callable[[], bool],
     metrics: MetricsRegistry | None = None,
 ) -> None:
-    """Evaluate ``indices`` of ``configs`` under ``policy``.
+    """Evaluate ``indices`` of ``configs`` on a pool of forked workers.
 
-    Called by :func:`repro.sweep.run_sweep` when a supervisor policy is
-    given; every point — even at ``workers=1`` — runs in its own forked
-    process so the parent survives anything the point does.  Settled
-    points (success or terminal quarantine) are delivered through
-    ``finish`` exactly as the unsupervised paths deliver theirs; with
-    ``strict`` the first quarantined point raises
-    :class:`PointQuarantined` instead.
+    Called by :func:`repro.sweep.run_sweep` for every multi-process
+    sweep and for every supervised one (``policy`` given), even at
+    ``workers=1``.  Settled points (success, plain failure, or terminal
+    quarantine) are delivered through ``finish``; with ``strict`` the
+    first terminal failure raises instead (see the module docstring).
 
-    ``interrupted`` is polled every tick; when it fires, all in-flight
-    attempt processes are killed and joined before the
-    :class:`InterruptedError` sentinel propagates to the runner (which
-    re-raises its public :class:`repro.sweep.SweepInterrupted`).
+    ``interrupted`` is polled every tick; when it fires, every worker
+    is killed and joined before the :class:`InterruptedError` sentinel
+    propagates to the runner (which re-raises its public
+    :class:`repro.sweep.SweepInterrupted`).
     """
-    import multiprocessing
+    supervised = policy is not None
+    if policy is None:
+        policy = SupervisorPolicy(timeout_s=None, max_attempts=1)
+    capture = supervised or not strict
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    size = min(workers, len(indices))
 
-    ctx = (
-        multiprocessing.get_context("fork")
-        if "fork" in multiprocessing.get_all_start_methods()
-        else multiprocessing.get_context()
-    )
+    # Unsupervised pools count into a throwaway registry, so the
+    # caller's metrics gain no supervisor families.
+    registry = metrics if metrics is not None and supervised else MetricsRegistry()
+    retries = registry.counter("sweep.retries")
+    timeouts = registry.counter("sweep.timeouts")
+    deaths = registry.counter("sweep.worker_deaths")
+    quarantined = registry.counter("sweep.quarantined")
 
-    retries = metrics.counter("sweep.retries") if metrics is not None else None
-    timeouts = metrics.counter("sweep.timeouts") if metrics is not None else None
-    deaths = metrics.counter("sweep.worker_deaths") if metrics is not None else None
-    quarantined = metrics.counter("sweep.quarantined") if metrics is not None else None
-
-    #: (index, attempt, not_before) — attempts eligible to launch.
-    pending: list[tuple[int, int, float]] = [(i, 1, 0.0) for i in indices]
-    running: list[_Running] = []
+    #: Heap of (not_before, index, attempt) — attempts waiting to launch.
+    pending: list[tuple[float, int, int]] = [(0.0, i, 1) for i in indices]
+    heapq.heapify(pending)
+    idle: list[_Worker] = []
+    busy: list[_Worker] = []
     failures: dict[int, list[dict]] = {}
 
-    def _spawn(index: int, attempt: int) -> None:
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_attempt_main,
-            args=(send, target, configs[index], seeds[index], epoch, attempt),
-            daemon=True,
+    def _launch(index: int, attempt: int) -> None:
+        if idle:
+            worker = idle.pop()
+        else:
+            parent_end, child_end = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(child_end, [parent_end] + [w.conn for w in busy],
+                      target, configs, seeds, epoch, capture),
+                daemon=True,
+            )
+            proc.start()
+            child_end.close()  # parent keeps only its end: EOF == worker gone
+            worker = _Worker(proc, parent_end)
+        worker.index, worker.attempt = index, attempt
+        worker.started = time.monotonic()
+        worker.deadline = (
+            None if policy.timeout_s is None else worker.started + policy.timeout_s
         )
-        proc.start()
-        send.close()  # parent keeps only the read end: EOF == child gone
-        now = time.monotonic()
-        deadline = None if policy.timeout_s is None else now + policy.timeout_s
-        running.append(_Running(index, attempt, proc, recv, deadline, now))
+        try:
+            worker.conn.send((index, attempt))
+        except OSError:
+            pass  # the worker is already gone; its EOF reports the death
+        busy.append(worker)
 
-    def _reap(run: _Running) -> None:
-        running.remove(run)
-        run.proc.join()
-        run.conn.close()
+    def _reap(worker: _Worker) -> None:
+        busy.remove(worker)
+        worker.proc.join()
+        worker.conn.close()
 
-    def _fail(run: _Running, record: dict) -> None:
-        history = failures.setdefault(run.index, [])
+    def _fail(worker: _Worker, record: dict) -> None:
+        if supervised:
+            record["attempt"] = worker.attempt
+        history = failures.setdefault(worker.index, [])
         history.append(record)
-        if run.attempt < policy.max_attempts:
-            if retries is not None:
-                retries.inc()
-            delay = retry_delay_s(policy, seeds[run.index], run.attempt + 1)
-            pending.append((run.index, run.attempt + 1, time.monotonic() + delay))
+        if worker.attempt < policy.max_attempts:
+            retries.inc()
+            delay = retry_delay_s(policy, seeds[worker.index], worker.attempt + 1)
+            heapq.heappush(
+                pending, (time.monotonic() + delay, worker.index, worker.attempt + 1)
+            )
+            return
+        elapsed = time.monotonic() - worker.started
+        if not supervised and not strict:
+            finish(worker.index, None, record, 0.0, elapsed)
             return
         terminal = _quarantine_record(
             target=target,
-            config=configs[run.index],
-            seed=seeds[run.index],
+            config=configs[worker.index],
+            seed=seeds[worker.index],
             failures=history,
         )
-        if quarantined is not None:
-            quarantined.inc()
+        quarantined.inc()
         if strict:
             raise PointQuarantined(terminal)
-        finish(run.index, None, terminal, 0.0, time.monotonic() - run.started)
+        finish(worker.index, None, terminal, 0.0, elapsed)
+
+    def _parent_failure(worker: _Worker, kind: str, message: str) -> None:
+        record = {
+            "target": target,
+            "config": canonical_config(configs[worker.index]),
+            "seed": seeds[worker.index],
+            "type": kind,
+            "message": message,
+        }
+        _fail(worker, record)
 
     try:
-        while pending or running:
+        while pending or busy:
             if interrupted():
                 raise InterruptedError
             now = time.monotonic()
-            # Launch every eligible attempt the worker budget allows.
-            eligible = sorted(
-                (t for t in pending if t[2] <= now), key=lambda t: (t[2], t[0])
-            )
-            for task in eligible[: max(0, workers - len(running))]:
-                pending.remove(task)
-                _spawn(task[0], task[1])
+            while pending and pending[0][0] <= now and len(busy) < size:
+                _, index, attempt = heapq.heappop(pending)
+                _launch(index, attempt)
 
-            if not running:
+            if not busy:
                 time.sleep(_TICK_S)
                 continue
-            ready = connection.wait((r.conn for r in running), timeout=_TICK_S)
-            for run in [r for r in running if r.conn in ready]:
+            ready = connection.wait([w.conn for w in busy], timeout=_TICK_S)
+            for worker in [w for w in busy if w.conn in ready]:
                 try:
-                    result, error, started, elapsed = run.conn.recv()
+                    reply = worker.conn.recv()
                 except EOFError:
                     # The process ended without reporting: it was killed
                     # (possibly by the point itself) or crashed hard.
-                    _reap(run)
-                    if deaths is not None:
-                        deaths.inc()
-                    _fail(
-                        run,
-                        _failure_record(
-                            "WorkerDied",
-                            f"worker process died without reporting "
-                            f"(exitcode {run.proc.exitcode})",
-                            target=target,
-                            config=configs[run.index],
-                            seed=seeds[run.index],
-                            attempt=run.attempt,
-                        ),
+                    _reap(worker)
+                    deaths.inc()
+                    _parent_failure(
+                        worker,
+                        "WorkerDied",
+                        f"worker process died without reporting "
+                        f"(exitcode {worker.proc.exitcode})",
                     )
                     continue
-                _reap(run)
+                busy.remove(worker)
+                idle.append(worker)
+                if isinstance(reply, BaseException):
+                    raise reply
+                result, error, started, elapsed = reply
                 if error is None:
-                    finish(run.index, result, None, started, elapsed)
+                    finish(worker.index, result, None, started, elapsed)
                 else:
-                    _fail(run, error)
+                    _fail(worker, error)
 
             now = time.monotonic()
-            for run in [r for r in running if r.deadline is not None and now >= r.deadline]:
-                run.proc.kill()
-                _reap(run)
-                if timeouts is not None:
-                    timeouts.inc()
-                _fail(
-                    run,
-                    _failure_record(
-                        "PointTimeout",
-                        f"attempt exceeded timeout_s={policy.timeout_s:g}",
-                        target=target,
-                        config=configs[run.index],
-                        seed=seeds[run.index],
-                        attempt=run.attempt,
-                    ),
+            for worker in [w for w in busy if w.deadline is not None and now >= w.deadline]:
+                worker.proc.kill()
+                _reap(worker)
+                timeouts.inc()
+                _parent_failure(
+                    worker,
+                    "PointTimeout",
+                    f"attempt exceeded timeout_s={policy.timeout_s:g}",
                 )
     finally:
-        # Whatever path exits — done, interrupt, quarantine-raise — no
-        # attempt process may outlive the sweep.
-        for run in running:
-            run.proc.kill()
-        for run in running:
-            run.proc.join()
-            run.conn.close()
-        running.clear()
+        # Whatever path exits — done, interrupt, strict raise — no
+        # worker may outlive the sweep.
+        workers_left = idle + busy
+        for worker in workers_left:
+            worker.proc.kill()
+        for worker in workers_left:
+            worker.proc.join()
+            worker.conn.close()

@@ -4,9 +4,9 @@ A *target* is a function ``fn(config: dict, seed: int) -> dict`` —
 plain JSON-able data in, plain JSON-able data out.  That shape is what
 makes the engine's three promises possible:
 
-* **fan-out** — configs and results cross process boundaries, so they
-  must pickle trivially; workers resolve the target by *name* from
-  this registry, never by shipping code objects;
+* **fan-out** — results cross a pipe from the pool worker back to the
+  parent, so they must pickle trivially; workers resolve the target by
+  *name* from this registry, never by shipping code objects;
 * **determinism** — the result must be a pure function of
   ``(config, seed)``; the engine derives ``seed`` per point, so a
   target must route every stochastic choice through it;
@@ -14,9 +14,10 @@ makes the engine's three promises possible:
   cache, so it must round-trip through JSON.
 
 Built-in targets wrap the three discrete-event simulators.  Register a
-custom one with :func:`register_target`; with the default ``fork``
-start method, targets registered before :func:`repro.sweep.run_sweep`
-is called are visible to worker processes too.
+custom one with :func:`register_target`.  Pool workers are forked
+inside each :func:`repro.sweep.run_sweep` call (``fork`` start method
+where available), so targets registered before the call are visible
+to them too.
 
 ``serving`` — :class:`repro.serving.ServingSimulator`.  Flat config
 keys map onto ``WorkloadSpec`` (``request_rate``, ``num_requests``,

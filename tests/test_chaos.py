@@ -12,7 +12,10 @@ from __future__ import annotations
 import os
 import signal
 import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +56,22 @@ def _flaky(config: dict, seed: int) -> dict:
         if mode == "hang":
             time.sleep(600)
     return {"doubled": config["x"] * 2, "seed": seed}
+
+
+@register_target("chaos-test-pid")
+def _flaky_pid(config: dict, seed: int) -> dict:
+    """``chaos-test-flaky`` plus the pid of the process that ran it."""
+    return {**_flaky(config, seed), "pid": os.getpid()}
+
+
+def _children() -> list[str]:
+    """Names of this process's live children, minus the ``ps`` probe."""
+    out = subprocess.run(
+        ["ps", "--ppid", str(os.getpid()), "-o", "comm="],
+        capture_output=True,
+        text=True,
+    ).stdout.split()
+    return [name for name in out if name != "ps"]
 
 
 def _points(*specs: tuple[str, int]) -> list[dict]:
@@ -199,12 +218,85 @@ def test_supervised_interrupt_leaves_no_orphans():
             supervise=SupervisorPolicy(timeout_s=60.0, max_attempts=1),
             interrupt=interrupt,
         )
-    children = subprocess.run(
-        ["ps", "--ppid", str(os.getpid()), "-o", "comm="],
-        capture_output=True,
-        text=True,
-    ).stdout.split()
-    assert children == ["ps"]  # only the ps probe itself
+    assert _children() == []
+
+
+@pytest.mark.parametrize("policy", [None, SupervisorPolicy(timeout_s=30)])
+def test_pool_reuses_its_workers(policy):
+    spec = SweepSpec(target="chaos-test-pid", points=_points(*[("raise", 0)] * 8), seed=5)
+    result = run_sweep(spec, workers=2, supervise=policy)
+    assert [p.result["doubled"] for p in result.points] == [2 * i for i in range(8)]
+    assert len({p.result["pid"] for p in result.points}) <= 2
+    assert _children() == []
+
+
+def test_pool_replaces_a_dead_worker_and_leaves_no_children():
+    points = _points(*[("raise", 0)] * 8)
+    points[3] = {"x": 3, "mode": "kill", "fail_attempts": 1}
+    spec = SweepSpec(target="chaos-test-pid", points=points, seed=5)
+    result = run_sweep(
+        spec, workers=2, strict=False, supervise=SupervisorPolicy(timeout_s=30)
+    )
+    assert result.errors == 0
+    assert [p.result["doubled"] for p in result.points] == [2 * i for i in range(8)]
+    # Two workers, plus one fork to replace the worker point 3 killed.
+    assert len({p.result["pid"] for p in result.points}) <= 3
+    assert _children() == []
+
+
+def _gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    state = subprocess.run(
+        ["ps", "-o", "stat=", "-p", str(pid)], capture_output=True, text=True
+    ).stdout.strip()
+    return state == "" or state.startswith("Z")
+
+
+def test_idle_workers_exit_when_the_parent_is_killed(tmp_path):
+    """A SIGKILL'd sweep process cannot clean up its pool; its idle
+    workers must still see EOF on their pipe and exit on their own."""
+    script = textwrap.dedent(
+        f"""
+        import os, sys, time
+        from repro.sweep import SweepSpec, register_target, run_sweep
+
+        def point(config, seed):
+            with open(os.path.join({str(tmp_path)!r}, f"{{config['x']}}.pid"), "w") as f:
+                f.write(str(os.getpid()))
+            time.sleep(config["sleep_s"])
+            return {{}}
+
+        register_target("orphan-probe", point)
+        spec = SweepSpec(target="orphan-probe", points=[
+            {{"x": 0, "sleep_s": 3600}}, {{"x": 1, "sleep_s": 0}}])
+        run_sweep(spec, workers=2)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+    hung_file, idle_file = tmp_path / "0.pid", tmp_path / "1.pid"
+    try:
+        deadline = time.monotonic() + 30
+        while not (hung_file.exists() and idle_file.exists()):
+            assert time.monotonic() < deadline, "the sweep never started"
+            time.sleep(0.05)
+        time.sleep(0.2)  # let point 1 return, so its worker sits idle
+        proc.kill()
+        proc.wait()
+        idle_pid = int(idle_file.read_text())
+        deadline = time.monotonic() + 10
+        while not _gone(idle_pid):
+            assert time.monotonic() < deadline, "idle worker outlived its parent"
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        for pid_file in (hung_file, idle_file):
+            if pid_file.exists() and pid_file.read_text():
+                try:
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 def test_supervised_cache_resume(tmp_path):

@@ -336,12 +336,20 @@ def test_http_error_paths(tmp_path):
         assert status == 405
         status, _, body_bytes = await client.request("POST", "/jobs", {"target": "bogus"})
         assert status == 400 and b"unknown target" in body_bytes
-        reader, writer = await asyncio.open_connection(client.host, client.port)
-        writer.write(b"POST /jobs HTTP/1.1\r\nContent-Length: 7\r\n\r\nnotjson")
-        await writer.drain()
-        raw = await reader.read()
-        assert b"400" in raw.split(b"\r\n", 1)[0]
-        writer.close()
+        long_line = b"x" * (70 * 1024)  # past the 64 KiB StreamReader limit
+        for request in (
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 7\r\n\r\nnotjson",
+            b"GET /" + long_line + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + long_line + b"\r\n\r\n",
+            b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        ):
+            reader, writer = await asyncio.open_connection(client.host, client.port)
+            writer.write(request)
+            await writer.drain()
+            raw = await reader.read()
+            assert b"400" in raw.split(b"\r\n", 1)[0], request[:40]
+            writer.close()
+        assert server.metrics.counter("service.http.errors").value == 0
         # No grid and no points:
         status, _ = await client.post_json("/jobs", {"target": "serving"})
         assert status == 400

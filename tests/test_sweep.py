@@ -9,6 +9,7 @@ The two engine guarantees the PR's acceptance criteria pin:
 """
 
 import json
+import os
 
 import pytest
 
@@ -321,10 +322,44 @@ def _failing_target(config: dict, seed: int) -> dict:
 register_target("test_failing", _failing_target)
 
 
-def test_strict_default_raises_the_original_exception():
+@pytest.mark.parametrize("workers", [1, 3])
+def test_strict_default_raises_the_original_exception(workers):
     spec = SweepSpec(target="test_failing", points=grid(x=[1, 2]))
     with pytest.raises(ValueError, match="bad point x=2"):
-        run_sweep(spec, cache=None)
+        run_sweep(spec, workers=workers, cache=None)
+
+
+def _exiting_target(config: dict, seed: int) -> dict:
+    if config["x"] == 3:
+        os._exit(3)
+    return {"value": config["x"]}
+
+
+register_target("test_exiting", _exiting_target)
+
+
+def test_worker_death_costs_only_its_point():
+    spec = SweepSpec(target="test_exiting", points=grid(x=[1, 2, 3, 4, 5]), seed=3)
+    result = run_sweep(spec, workers=2, cache=None, strict=False)
+    assert [p.result["value"] for p in result.points if p.error is None] == [1, 2, 4, 5]
+    (died,) = [p for p in result.points if p.error is not None]
+    assert died.config["x"] == 3
+    assert died.error == {
+        "target": "test_exiting",
+        "config": canonical_config(died.config),
+        "seed": died.seed,
+        "type": "WorkerDied",
+        "message": "worker process died without reporting (exitcode 3)",
+    }
+
+
+def test_strict_worker_death_raises_point_quarantined():
+    from repro.sweep import PointQuarantined
+
+    spec = SweepSpec(target="test_exiting", points=grid(x=[1, 3]), seed=3)
+    with pytest.raises(PointQuarantined) as excinfo:
+        run_sweep(spec, workers=2, cache=None)
+    assert [f["type"] for f in excinfo.value.record["failures"]] == ["WorkerDied"]
 
 
 def test_strict_false_yields_structured_error_records(tmp_path):
