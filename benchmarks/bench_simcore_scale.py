@@ -13,11 +13,14 @@ throughput (requests/s of sim wall-clock) and peak RSS, plus the
 100k→1M RSS ratio — which must stay ≤ ``MAX_RSS_RATIO`` (2×, the
 sublinear-memory acceptance gate) or the bench itself fails.
 
-``--check`` is the CI memory gate: it re-runs only the 100k-request
-streaming scenario and exits nonzero if its peak RSS exceeds the
-committed ``check.max_peak_rss_bytes`` bound.  The bound is generous
-(machine-independent headroom over the measured value); it exists to
-catch reintroduced O(total-requests) state, not allocator noise.
+``--check`` is the CI memory gate: it re-runs the 100k-request
+streaming scenario, and the same scenario under MTBF-sampled GPU faults
+(each in its own fresh subprocess), and exits nonzero if either peak
+RSS exceeds the committed ``check.max_peak_rss_bytes`` bound.  The
+bound is generous (machine-independent headroom over the measured
+value); it exists to catch reintroduced O(total-requests) state, not
+allocator noise.  Fault runs share it: their degradation report folds
+into per-phase counters, so they keep no per-request state either.
 """
 
 from __future__ import annotations
@@ -37,29 +40,44 @@ from _report import default_meta, print_table, write_json
 SCALES = (100_000, 1_000_000)
 #: Acceptance gate: peak RSS may at most double from 100k → 1M requests.
 MAX_RSS_RATIO = 2.0
+#: The gate's fault scenario: decode-pool GPU faults sampled at this
+#: MTBF over the whole run (4 at 100k requests), each repaired
+#: after FAULT_MTTR simulated seconds.
+FAULT_MTBF_S = 2500.0
+FAULT_MTTR_S = 300.0
+RATE = 8.0
 
 
-def run_scale(num_requests: int) -> dict:
+def run_scale(num_requests: int, faults: bool = False) -> dict:
     """One streaming serving run at ``num_requests``; perf + RSS metrics.
 
-    Only meaningful in a fresh process (see module docstring) — use
+    ``faults`` adds MTBF-sampled GPU faults on the decode pool.  Only
+    meaningful in a fresh process (see module docstring) — use
     :func:`measure_in_subprocess` unless you *are* the subprocess.
     """
     from repro.core.proc import peak_rss_bytes
+    from repro.faults import FaultSchedule
     from repro.serving import ServingSimulator, SimConfig, WorkloadSpec
 
+    schedule = None
+    if faults:
+        schedule = FaultSchedule.sampled(
+            FAULT_MTBF_S, num_requests / RATE, seed=0, targets=("decode",),
+            mttr=FAULT_MTTR_S,
+        )
     config = SimConfig(
-        workload=WorkloadSpec(request_rate=8.0, num_requests=num_requests),
+        workload=WorkloadSpec(request_rate=RATE, num_requests=num_requests),
         mode="disaggregated",
         prefill_gpus=2,
         decode_gpus=6,
         seed=0,
+        faults=schedule,
     )
     simulator = ServingSimulator(config)
     start = time.perf_counter()
     report = simulator.run()
     elapsed = time.perf_counter() - start
-    return {
+    record = {
         "requests": num_requests,
         "completed": report.completed,
         "tokens_generated": report.tokens_generated,
@@ -70,9 +88,13 @@ def run_scale(num_requests: int) -> dict:
         "tpot_p99_ms": report.tpot.p99 * 1e3,
         "peak_rss_bytes": peak_rss_bytes(),
     }
+    if faults:
+        record["faults"] = len(schedule.events)
+        record["accounted"] = report.degradation.accounted
+    return record
 
 
-def measure_in_subprocess(num_requests: int) -> dict:
+def measure_in_subprocess(num_requests: int, faults: bool = False) -> dict:
     """Run :func:`run_scale` in a fresh interpreter and parse its JSON."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
@@ -80,7 +102,8 @@ def measure_in_subprocess(num_requests: int) -> dict:
         p for p in (str(src), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure", str(num_requests)],
+        [sys.executable, __file__, "--measure", str(num_requests)]
+        + (["--faults"] if faults else []),
         capture_output=True,
         text=True,
         env=env,
@@ -101,25 +124,34 @@ def _baseline_path() -> Path:
     return Path(__file__).resolve().parent / "BENCH_simcore_scale.json"
 
 
-def _check(rtol_unused: float | None = None) -> int:
-    """CI memory gate: 100k streaming run under the committed RSS bound."""
+def _check() -> int:
+    """CI memory gate: 100k streaming runs, fault-free and faulty, under
+    the committed RSS bound."""
     baseline = json.loads(_baseline_path().read_text())
     gate = baseline["check"]
     requests = int(gate["requests"])
     bound = int(gate["max_peak_rss_bytes"])
-    record = measure_in_subprocess(requests)
-    rss = record["peak_rss_bytes"]
-    print(
-        f"{requests} streaming requests: peak RSS "
-        f"{rss / 1e6:.1f} MB (bound {bound / 1e6:.1f} MB), "
-        f"{record['requests_per_s']:.0f} req/s"
-    )
-    if record["completed"] != requests:
-        print(f"completed {record['completed']} != {requests}")
-        return 1
-    if rss > bound:
-        print("peak RSS exceeds the committed bound: O(total-requests) "
-              "state has crept back into the streaming path")
+    failed = False
+    for faults in (False, True):
+        record = measure_in_subprocess(requests, faults=faults)
+        label = f"{record['faults']} sampled GPU faults" if faults else "no faults"
+        rss = record["peak_rss_bytes"]
+        print(
+            f"{requests} streaming requests, {label}: peak RSS "
+            f"{rss / 1e6:.1f} MB (bound {bound / 1e6:.1f} MB), "
+            f"{record['requests_per_s']:.0f} req/s"
+        )
+        if faults and not record["accounted"]:
+            print("degradation report does not account for every request")
+            failed = True
+        if not faults and record["completed"] != requests:
+            print(f"completed {record['completed']} != {requests}")
+            failed = True
+        if rss > bound:
+            print("peak RSS exceeds the committed bound: O(total-requests) "
+                  "state has crept back into the streaming path")
+            failed = True
+    if failed:
         return 1
     print("memory gate ok")
     return 0
@@ -134,6 +166,11 @@ def main(argv: list[str] | None = None) -> int:
         help="internal: run one N-request scenario and print JSON metrics",
     )
     parser.add_argument(
+        "--faults",
+        action="store_true",
+        help="internal: with --measure, inject MTBF-sampled GPU faults",
+    )
+    parser.add_argument(
         "--check",
         action="store_true",
         help="run the 100k memory gate against the committed baseline",
@@ -141,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.measure is not None:
-        print(json.dumps(run_scale(args.measure)))
+        print(json.dumps(run_scale(args.measure, faults=args.faults)))
         return 0
     if args.check:
         return _check()

@@ -29,4 +29,4 @@ Subpackages:
   recovers with byte-identical reports.
 """
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"

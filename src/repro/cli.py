@@ -17,8 +17,8 @@ Commands:
   ``--json`` dumps the full ``SimReport`` as machine-readable JSON.
   Streams by default (constant memory — ``--requests 1000000`` is
   routine, with periodic progress on stderr for large runs);
-  ``--record`` keeps exact per-request records and the per-request
-  degradation breakdown.
+  ``--record`` reports exact percentiles and full-resolution traces
+  (compact per-request latency columns, O(requests) memory).
 * ``trace`` — run a simulator scenario with the observability layer
   on, write a Chrome trace-event file (chrome://tracing / Perfetto)
   and print a top-K span/metric summary.
@@ -838,12 +838,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode_group.add_argument(
         "--stream", action="store_true",
         help="constant-memory streaming aggregation (the default): "
-        "histogram-derived percentiles, no per-request records",
+        "histogram-derived percentiles, decimated traces",
     )
     mode_group.add_argument(
         "--record", action="store_true",
-        help="keep exact per-request records (O(requests) memory; "
-        "enables the per-request degradation breakdown)",
+        help="exact percentiles and full-resolution traces (compact "
+        "per-request latency columns, O(requests) memory); fault runs "
+        "report the same degradation section either way",
     )
     p.add_argument(
         "--json", action="store_true",

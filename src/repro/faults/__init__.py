@@ -28,7 +28,7 @@ from .schedule import (
     RecoveryPolicy,
     parse_faults_arg,
 )
-from .report import NEVER, DegradationReport, FaultWindow, build_degradation
+from .report import NEVER, DegradationReport, FaultPhases, FaultWindow, build_degradation
 from .network import (
     NETWORK_FAULT_KINDS,
     NetworkFaultReport,
@@ -46,6 +46,7 @@ __all__ = [
     "NODE_GPUS",
     "DegradationReport",
     "FaultEvent",
+    "FaultPhases",
     "FaultSchedule",
     "FaultWindow",
     "NetworkFaultReport",

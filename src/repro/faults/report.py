@@ -4,21 +4,22 @@ A faulty run is judged by three numbers per fault window — goodput and
 SLO attainment *before*, *during*, and *after* the outage — plus a
 strict conservation identity over requests: everything admitted is
 either finished, dropped, or still in flight when the clock stops.
-:func:`build_degradation` derives all of it from per-request
-timestamps, so the report is a pure function of the simulation outcome.
+
+Every phase boundary except the run horizon is known from the schedule
+before the run starts, so :class:`FaultPhases` folds each finish into a
+``(finished, slo_met)`` count per segment between boundaries as it
+happens, and :func:`build_degradation` sums segments per phase.  The
+report is a pure function of the simulation outcome, and no per-request
+record is kept for it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .schedule import FaultEvent
-
-if TYPE_CHECKING:  # circular at runtime: serving.simulator imports this module
-    from ..serving.report import SLO
-    from ..serving.workload import Request
 
 #: Sentinel for "never repaired within the run" in the frozen report
 #: (kept JSON-representable, unlike ``inf``).
@@ -114,24 +115,40 @@ def annotate_alerts(
     return alerts
 
 
-def _phase_stats(
-    requests: "list[Request]", slo: "SLO", start: float, end: float
-) -> tuple[float, float]:
-    """(goodput req/s, SLO attainment) over finishes in [start, end)."""
-    span = end - start
-    if span <= 0:
-        return 0.0, 0.0
-    done = [r for r in requests if start <= r.finish_time < end]
-    if not done:
-        return 0.0, 0.0
-    met = sum(1 for r in done if slo.met_by(r))
-    return len(done) / span, met / len(done)
+class FaultPhases:
+    """Finished and SLO-met counts per segment between phase boundaries.
+
+    The boundaries are 0, every fault time and every finite repair
+    time; segment ``k`` counts the finishes ``t`` with
+    ``bisect_right(bounds, t) == k``.  ``last`` holds the latest finish
+    time and its counts: phases are half-open, and the last one ends at
+    the final clock, which a finish can hit exactly.
+    """
+
+    __slots__ = ("bounds", "done", "met", "last")
+
+    def __init__(self, events: tuple[FaultEvent, ...]) -> None:
+        repairs = (e.time + e.mttr for e in events if math.isfinite(e.mttr))
+        self.bounds = sorted({0.0, *(e.time for e in events), *repairs})
+        self.done = [0] * (len(self.bounds) + 1)
+        self.met = [0] * (len(self.bounds) + 1)
+        self.last = [-1.0, 0, 0]
+
+    def finish(self, time: float, met: bool) -> None:
+        """Count one finish (finish times arrive in clock order)."""
+        k = bisect_right(self.bounds, time)
+        self.done[k] += 1
+        self.met[k] += met
+        last = self.last
+        if time != last[0]:
+            last[:] = time, 0, 0
+        last[1] += 1
+        last[2] += met
 
 
 def build_degradation(
-    requests: "list[Request]",
+    phases: FaultPhases,
     events: tuple[FaultEvent, ...],
-    slo: "SLO",
     *,
     horizon: float,
     admitted: int,
@@ -144,27 +161,45 @@ def build_degradation(
     steps_aborted: int,
     lost_tokens: int,
 ) -> DegradationReport:
-    """Assemble the degradation section from per-request outcomes.
+    """Assemble the degradation section from the per-segment counts.
 
     Each fault window's *before* phase spans from the previous window's
     end (or 0) to the fault; *during* spans the outage itself; *after*
     runs to the next fault (or the run horizon).  Permanent faults have
-    an empty *after* phase.
+    an empty *after* phase.  Every phase edge is a boundary of
+    ``phases`` or the horizon, so a phase is a run of whole segments.
     """
+    bounds, done, met = phases.bounds, phases.done, phases.met
+    if horizon > bounds[-1]:
+        # Every fault and repair is an event of the run, so the final
+        # clock is at or past every boundary: split the open-ended last
+        # segment there, moving finishes at exactly the horizon past it.
+        _, at_done, at_met = phases.last if phases.last[0] == horizon else (0, 0, 0)
+        bounds = bounds + [horizon]
+        done = done[:-1] + [done[-1] - at_done, at_done]
+        met = met[:-1] + [met[-1] - at_met, at_met]
+
+    def phase_stats(start: float, end: float) -> tuple[float, float]:
+        """(goodput req/s, SLO attainment) over finishes in [start, end)."""
+        span = end - start
+        if span <= 0:
+            return 0.0, 0.0
+        lo, hi = bisect_right(bounds, start), bisect_right(bounds, end)
+        finished_in = sum(done[lo:hi])
+        if not finished_in:
+            return 0.0, 0.0
+        return finished_in / span, sum(met[lo:hi]) / finished_in
+
     windows = []
     prev_end = 0.0
     for i, event in enumerate(events):
         repaired = math.isfinite(event.mttr)
         end = event.time + event.mttr if repaired else horizon
         next_start = events[i + 1].time if i + 1 < len(events) else horizon
-        goodput_before, slo_before = _phase_stats(
-            requests, slo, prev_end, event.time
-        )
-        goodput_during, slo_during = _phase_stats(
-            requests, slo, event.time, min(end, next_start)
-        )
+        goodput_before, slo_before = phase_stats(prev_end, event.time)
+        goodput_during, slo_during = phase_stats(event.time, min(end, next_start))
         goodput_after, slo_after = (
-            _phase_stats(requests, slo, end, next_start) if repaired else (0.0, 0.0)
+            phase_stats(end, next_start) if repaired else (0.0, 0.0)
         )
         windows.append(
             FaultWindow(

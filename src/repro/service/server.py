@@ -67,6 +67,11 @@ from .state import StateStore
 
 __all__ = ["ExperimentServer", "ServiceConfig"]
 
+#: Seconds a client gets to deliver a whole request (line, headers and
+#: body); a peer that stalls mid-request is answered 408 and closed
+#: instead of pinning its handler.
+READ_TIMEOUT_S = 30.0
+
 
 @dataclass
 class ServiceConfig:
@@ -215,7 +220,12 @@ class ExperimentServer:
     ) -> None:
         try:
             try:
-                request = await read_request(reader)
+                try:
+                    request = await asyncio.wait_for(read_request(reader), READ_TIMEOUT_S)
+                except asyncio.TimeoutError:
+                    raise HttpError(
+                        408, f"request not received within {READ_TIMEOUT_S:g} s"
+                    ) from None
                 if request is None:
                     return
                 self.metrics.counter("service.http.requests").inc()

@@ -17,6 +17,7 @@ from .kvpool import KVPoolConfig, PagedKVPool, kv_pool_blocks
 from .report import (
     SLO,
     LatencyStats,
+    ReportTally,
     SimReport,
     build_report,
     build_streaming_report,
@@ -54,6 +55,7 @@ __all__ = [
     "kv_pool_blocks",
     "SLO",
     "LatencyStats",
+    "ReportTally",
     "SimReport",
     "build_report",
     "build_streaming_report",

@@ -12,12 +12,14 @@ seeded simulator can be compared with ``==`` to assert determinism.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, TimeSeries
 from .workload import Request
 
 if TYPE_CHECKING:  # circular at runtime: repro.faults builds on this module
@@ -35,9 +37,9 @@ class LatencyStats:
     max: float
 
     @staticmethod
-    def from_samples(samples: list[float]) -> "LatencyStats":
+    def from_samples(samples: "list[float] | np.ndarray") -> "LatencyStats":
         """Compute the summary (zeros for an empty sample set)."""
-        if not samples:
+        if len(samples) == 0:
             return LatencyStats(0.0, 0.0, 0.0, 0.0, 0.0)
         arr = np.asarray(samples, dtype=np.float64)
         p50, p95, p99 = np.percentile(arr, [50, 95, 99])
@@ -55,7 +57,7 @@ class LatencyStats:
 
         Mean, count and max are exact (running aggregates); the
         percentiles carry the histogram's bounded relative error
-        (≈1% at the default growth) — the streaming-mode trade that
+        (≈1% at the default growth) — the default-mode trade that
         makes report memory independent of request count.
         """
         if hist.count == 0:
@@ -227,49 +229,133 @@ def compact_record(
     return record
 
 
+class ReportTally:
+    """Everything a :class:`SimReport` is built from, folded in as the run goes.
+
+    The simulator feeds :meth:`finish` once per completed request and
+    :meth:`sample` once per channel sample.  The tally always keeps the
+    counts, the token sum, the three latency histograms and the running
+    queue/KV sums and maxima — O(1) memory.  With ``exact=True``
+    (``SimConfig.record_requests``) it also keeps compact float64
+    columns of each finished request's rid and latencies, for exact
+    percentiles; the traces keep whatever resolution the two series
+    are configured for.
+    """
+
+    __slots__ = (
+        "slo", "completed", "slo_met", "tokens", "ttft", "tpot", "e2e",
+        "samples", "queue_sum", "queue_max", "kv_sum", "kv_peak",
+        "queue_trace", "kv_trace", "columns",
+    )
+
+    def __init__(
+        self, slo: SLO, queue_trace: TimeSeries, kv_trace: TimeSeries, *, exact: bool
+    ) -> None:
+        self.slo = slo
+        self.completed = self.slo_met = self.tokens = 0
+        self.ttft = Histogram("ttft")
+        self.tpot = Histogram("tpot")
+        self.e2e = Histogram("e2e")
+        self.samples = self.queue_sum = self.queue_max = 0
+        self.kv_sum = self.kv_peak = 0.0
+        self.queue_trace = queue_trace
+        self.kv_trace = kv_trace
+        # rid, ttft, tpot (NaN when undefined), e2e — in finish order.
+        self.columns = tuple(array("d") for _ in range(4)) if exact else None
+
+    def finish(self, request: Request) -> bool:
+        """Fold one completed request in; returns whether it met the SLO."""
+        ttft, e2e = request.ttft, request.e2e
+        self.ttft.observe(ttft)
+        self.e2e.observe(e2e)
+        tpot = math.nan
+        if request.has_tpot:
+            tpot = request.tpot
+            self.tpot.observe(tpot)
+        self.completed += 1
+        self.tokens += request.generated
+        met = self.slo.met_by(request)
+        self.slo_met += met
+        if self.columns is not None:
+            for column, value in zip(self.columns, (request.rid, ttft, tpot, e2e)):
+                column.append(value)
+        return met
+
+    def sample(self, time: float, depth: int, occupancy: float) -> None:
+        """Fold one queue-depth / KV-occupancy sample in."""
+        self.samples += 1
+        self.queue_sum += depth
+        self.kv_sum += occupancy
+        if depth > self.queue_max:
+            self.queue_max = depth
+        if occupancy > self.kv_peak:
+            self.kv_peak = occupancy
+        self.queue_trace.record(time, depth)
+        self.kv_trace.record(time, occupancy)
+
+
 def build_report(
-    finished: list[Request],
-    slo: SLO,
+    tally: ReportTally,
+    *,
     duration: float,
     preemptions: int,
     decode_steps: int,
     prefill_batches: int,
     draft_attempts: int,
     draft_accepted: int,
-    queue_trace: list[tuple[float, int]],
-    kv_trace: list[tuple[float, float]],
     degradation: "DegradationReport | None" = None,
     windows: tuple[dict, ...] | None = None,
     alerts: tuple[dict, ...] | None = None,
 ) -> SimReport:
-    """Aggregate per-request records into a :class:`SimReport`.
+    """Aggregate a run's :class:`ReportTally` into a :class:`SimReport`.
 
-    The TPOT distribution is built only from requests where TPOT is
-    defined (two or more generated tokens); degenerate single-token
-    requests would otherwise pull the percentiles toward an artificial
-    0.0.  They still count toward completion, TTFT/E2E and goodput
-    (see :meth:`SLO.met_by`).
+    Counts, rates and maxima are exact either way.  With exact columns,
+    latency stats come from every sample in rid order and channel means
+    from the full traces (the float paths the goldens pin); otherwise
+    from the histograms (bounded relative error) and running sums.
+
+    The TPOT distribution covers only requests where TPOT is defined
+    (two or more generated tokens); degenerate single-token requests
+    would otherwise pull the percentiles toward an artificial 0.0.
+    They still count toward completion, TTFT/E2E and goodput (see
+    :meth:`SLO.met_by`).
     """
-    finished = sorted(finished, key=lambda r: r.rid)
-    tokens = sum(r.generated for r in finished)
-    slo_met = sum(1 for r in finished if slo.met_by(r))
-    queue_depths = [d for _, d in queue_trace]
-    kv_levels = [v for _, v in kv_trace]
+    queue_trace = tally.queue_trace.samples
+    kv_trace = tally.kv_trace.samples
+    if tally.columns is not None:
+        rids, ttfts, tpots, e2es = (np.frombuffer(c) for c in tally.columns)
+        order = np.argsort(rids)
+        tpots = tpots[order]
+        ttft = LatencyStats.from_samples(ttfts[order])
+        tpot = LatencyStats.from_samples(tpots[~np.isnan(tpots)])
+        e2e = LatencyStats.from_samples(e2es[order])
+        queue_depths = [d for _, d in queue_trace]
+        kv_levels = [v for _, v in kv_trace]
+        mean_queue = float(np.mean(queue_depths)) if queue_depths else 0.0
+        mean_kv = float(np.mean(kv_levels)) if kv_levels else 0.0
+    else:
+        ttft = LatencyStats.from_histogram(tally.ttft)
+        tpot = LatencyStats.from_histogram(tally.tpot)
+        e2e = LatencyStats.from_histogram(tally.e2e)
+        samples = tally.samples
+        mean_queue = tally.queue_sum / samples if samples else 0.0
+        mean_kv = tally.kv_sum / samples if samples else 0.0
+    completed = tally.completed
     return SimReport(
-        completed=len(finished),
+        completed=completed,
         preemptions=preemptions,
         duration=duration,
-        tokens_generated=tokens,
-        ttft=LatencyStats.from_samples([r.ttft for r in finished]),
-        tpot=LatencyStats.from_samples([r.tpot for r in finished if r.has_tpot]),
-        e2e=LatencyStats.from_samples([r.e2e for r in finished]),
-        throughput_tokens_per_s=tokens / duration if duration > 0 else 0.0,
-        goodput_requests_per_s=slo_met / duration if duration > 0 else 0.0,
-        slo_attainment=slo_met / len(finished) if finished else 0.0,
-        mean_queue_depth=float(np.mean(queue_depths)) if queue_depths else 0.0,
-        max_queue_depth=max(queue_depths, default=0),
-        mean_kv_occupancy=float(np.mean(kv_levels)) if kv_levels else 0.0,
-        peak_kv_occupancy=max(kv_levels, default=0.0),
+        tokens_generated=tally.tokens,
+        ttft=ttft,
+        tpot=tpot,
+        e2e=e2e,
+        throughput_tokens_per_s=tally.tokens / duration if duration > 0 else 0.0,
+        goodput_requests_per_s=tally.slo_met / duration if duration > 0 else 0.0,
+        slo_attainment=tally.slo_met / completed if completed else 0.0,
+        mean_queue_depth=mean_queue,
+        max_queue_depth=tally.queue_max,
+        mean_kv_occupancy=mean_kv,
+        peak_kv_occupancy=tally.kv_peak,
         decode_steps=decode_steps,
         prefill_batches=prefill_batches,
         mtp_acceptance_measured=draft_accepted / draft_attempts if draft_attempts else 0.0,
@@ -281,59 +367,5 @@ def build_report(
     )
 
 
-def build_streaming_report(
-    *,
-    completed: int,
-    slo_met: int,
-    tokens_generated: int,
-    ttft: Histogram,
-    tpot: Histogram,
-    e2e: Histogram,
-    duration: float,
-    preemptions: int,
-    decode_steps: int,
-    prefill_batches: int,
-    draft_attempts: int,
-    draft_accepted: int,
-    channel_samples: int,
-    queue_sum: float,
-    queue_max: int,
-    kv_sum: float,
-    kv_peak: float,
-    queue_trace: list[tuple[float, int]],
-    kv_trace: list[tuple[float, float]],
-    windows: tuple[dict, ...] | None = None,
-    alerts: tuple[dict, ...] | None = None,
-) -> SimReport:
-    """Aggregate streaming run state into a :class:`SimReport`.
-
-    The constant-memory counterpart of :func:`build_report`: counts,
-    rates, means, maxima and KV/queue dynamics are exact (running
-    integer/float aggregates over every event); only the latency
-    *percentiles* are histogram estimates with bounded relative error.
-    Traces are the decimated channels — full time span, bounded points.
-    """
-    return SimReport(
-        completed=completed,
-        preemptions=preemptions,
-        duration=duration,
-        tokens_generated=tokens_generated,
-        ttft=LatencyStats.from_histogram(ttft),
-        tpot=LatencyStats.from_histogram(tpot),
-        e2e=LatencyStats.from_histogram(e2e),
-        throughput_tokens_per_s=tokens_generated / duration if duration > 0 else 0.0,
-        goodput_requests_per_s=slo_met / duration if duration > 0 else 0.0,
-        slo_attainment=slo_met / completed if completed else 0.0,
-        mean_queue_depth=queue_sum / channel_samples if channel_samples else 0.0,
-        max_queue_depth=queue_max,
-        mean_kv_occupancy=kv_sum / channel_samples if channel_samples else 0.0,
-        peak_kv_occupancy=kv_peak,
-        decode_steps=decode_steps,
-        prefill_batches=prefill_batches,
-        mtp_acceptance_measured=draft_accepted / draft_attempts if draft_attempts else 0.0,
-        queue_depth_trace=tuple(queue_trace),
-        kv_occupancy_trace=tuple(kv_trace),
-        degradation=None,
-        windows=windows,
-        alerts=alerts,
-    )
+#: Former name of the streaming builder, kept for callers that look it up.
+build_streaming_report = build_report

@@ -55,12 +55,14 @@ Memory design (million-request runs, gated by
   a mutable :class:`Request` is materialized only when its arrival
   fires, and each arrival event feeds the next, so live Python objects
   are O(active requests).
-* Reporting streams by default: retired requests fold into
-  geometric-bucket histograms and running sums, traces decimate to
-  ``STREAM_TRACE_POINTS``, and the report is assembled by
-  :func:`repro.serving.report.build_streaming_report`.  Exact
-  per-request records return behind ``SimConfig.record_requests`` (and
-  automatically for fault runs, whose degradation report needs them).
+* Every retired request folds into one
+  :class:`repro.serving.report.ReportTally` (histograms, running sums)
+  and, on fault runs, into per-phase counters
+  (:class:`repro.faults.report.FaultPhases`); the request object then
+  dies.  Traces decimate to ``STREAM_TRACE_POINTS``.
+  ``SimConfig.record_requests`` only adds compact latency columns and
+  full-resolution traces, for exact percentiles and means — on faulty
+  and fault-free runs alike.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from ..core.rng import seeded_generator
-from ..faults.report import annotate_alerts, build_degradation
+from ..faults.report import FaultPhases, annotate_alerts, build_degradation
 from ..faults.schedule import FaultEvent, FaultSchedule, RecoveryPolicy
 from ..obs import (
     NULL_TRACER,
@@ -83,11 +85,11 @@ from ..obs import (
     parse_slo_rules,
     window_summaries,
 )
-from ..obs.metrics import Histogram
 from .calqueue import CalendarQueue
 from .costmodel import StepCostModel
 from .kvpool import KVPoolConfig, PagedKVPool, kv_pool_blocks
-from .report import SLO, SimReport, build_report, build_streaming_report
+# build_streaming_report stays bound here for tracers that patch it by name.
+from .report import SLO, ReportTally, SimReport, build_report, build_streaming_report  # noqa: F401
 from .scheduler import SchedulerConfig, form_prefill_batch
 from .workload import Request, WorkloadSpec, generate_request_columns
 
@@ -117,8 +119,8 @@ KV_OCCUPANCY = "serving.kv_occupancy"
 _BY_ARRIVAL = attrgetter("arrival", "rid")
 _BY_RID = attrgetter("rid")
 
-#: Streaming mode keeps the queue/KV traces at decaying resolution
-#: (TimeSeries decimate mode) instead of one exact sample per event.
+#: Without ``record_requests`` the queue/KV traces keep decaying
+#: resolution (TimeSeries decimate mode), not one sample per event.
 STREAM_TRACE_POINTS = 2048
 
 
@@ -156,16 +158,17 @@ class SimConfig:
             dicts, or compact strings like ``"burn>2@0.9"``).
             Requires ``window_s``; the resulting alert timeline lands
             in ``SimReport.alerts``.
-        record_requests: Keep exact per-request records and full-
-            resolution traces (O(total requests) memory) and build the
-            report from them — the bit-exact mode the golden tests pin.
-            The default is *streaming*: latency distributions fold into
-            geometric-bucket histograms as requests finish, traces
+        record_requests: Exact percentiles and full traces: keep
+            compact float64 latency columns (32 bytes per finished
+            request) and every queue/KV sample, and report exact
+            percentiles and means from them — the bit-exact mode the
+            golden tests pin.  By default latency distributions fold
+            into geometric-bucket histograms as requests finish, traces
             decimate to a bounded point budget, and steady-state memory
             is O(active requests + histogram buckets + windows), so
-            million-request runs fit in a flat footprint.  Runs with a
-            non-empty fault schedule always keep records — the
-            degradation report needs per-request timelines.
+            million-request runs fit in a flat footprint.  Fault runs
+            follow the same rule: their degradation report is folded
+            from per-phase counters either way.
     """
 
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -395,9 +398,9 @@ class ServingSimulator:
         fault_events = (
             cfg.faults.for_kinds(_SERVING_FAULT_KINDS) if cfg.faults else ()
         )
-        # Record mode keeps exact per-request state; fault runs imply it
-        # because the degradation report needs per-request timelines.
-        records_kept = cfg.record_requests or bool(fault_events)
+        # Every fault-phase boundary but the horizon is known up front,
+        # so finishes fold into per-segment counters as they happen.
+        self._phases = FaultPhases(fault_events) if fault_events else None
 
         # Workload state stays in flat numpy columns; a Request object
         # exists only from its arrival event until it finishes (or is
@@ -410,15 +413,12 @@ class ServingSimulator:
             cfg.workload, seeded_generator(cfg.seed, "workload")
         )
         total_requests = len(columns)
-        all_requests: list[Request] | None = [] if records_kept else None
         next_arrival = 0
 
         def feed_arrival() -> None:
             nonlocal next_arrival
             request = columns.materialize(next_arrival)
             next_arrival += 1
-            if all_requests is not None:
-                all_requests.append(request)
             push(request.arrival, _ARRIVAL, request)
 
         feed_arrival()
@@ -437,7 +437,6 @@ class ServingSimulator:
         self._n_steps_aborted = 0
         self._lost_tokens = 0
 
-        finished: list[Request] = []
         dropped: list[int] = []  # rids only — drop records are counters
         # Event counters accumulate in plain ints; they flush into the
         # registry once at the end of the run (nothing reads them
@@ -447,58 +446,29 @@ class ServingSimulator:
         self._n_prefill_batches = 0
         self._n_draft_attempts = 0
         self._n_draft_accepted = 0
-        self._n_completed = 0
         self._n_dropped = 0
         self._batch_profile: dict[int, list] = {}
-        # Streaming aggregation state: latency histograms plus running
-        # sums over the sampled channels replace per-request lists.
-        self._record_finished = finished if records_kept else None
-        self._n_slo_met = 0
-        self._tokens_generated = 0
-        self._ttft_hist = Histogram("ttft")
-        self._tpot_hist = Histogram("tpot")
-        self._e2e_hist = Histogram("e2e")
-        channel_samples = 0
-        queue_sum = 0
-        queue_max = 0
-        kv_sum = 0.0
-        kv_peak = 0.0
-        if records_kept:
-            queue_series = metrics.series(QUEUE_DEPTH)
-            kv_series = metrics.series(KV_OCCUPANCY)
-        else:
-            queue_series = metrics.series(
-                QUEUE_DEPTH, max_points=STREAM_TRACE_POINTS, mode="decimate"
-            )
-            kv_series = metrics.series(
-                KV_OCCUPANCY, max_points=STREAM_TRACE_POINTS, mode="decimate"
-            )
-        queue_append = queue_series.samples.append
-        kv_append = kv_series.samples.append
+        # Report aggregation: every finish and channel sample folds into
+        # one tally; record mode only widens what it keeps.
+        points = None if cfg.record_requests else STREAM_TRACE_POINTS
+        tally = self._tally = ReportTally(
+            cfg.slo,
+            metrics.series(QUEUE_DEPTH, max_points=points, mode="decimate"),
+            metrics.series(KV_OCCUPANCY, max_points=points, mode="decimate"),
+            exact=cfg.record_requests,
+        )
+        tally_sample = tally.sample
         total_blocks = sum(p.kv.config.total_blocks for p in pools)
         now = 0.0
 
         def sample_channels(t: float) -> None:
-            nonlocal channel_samples, queue_sum, queue_max, kv_sum, kv_peak
             depth = 0
             used = 0
             for p in pools:
                 depth += len(p.prefill_queue) + len(p.entry_queue)
                 used += p.kv.used_blocks
             occupancy = used / total_blocks
-            if records_kept:
-                queue_append((t, depth))
-                kv_append((t, occupancy))
-            else:
-                channel_samples += 1
-                queue_sum += depth
-                kv_sum += occupancy
-                if depth > queue_max:
-                    queue_max = depth
-                if occupancy > kv_peak:
-                    kv_peak = occupancy
-                queue_series.record(t, depth)
-                kv_series.record(t, occupancy)
+            tally_sample(t, depth, occupancy)
             if windowed is not None:
                 windowed.sample("queue_depth", t, depth)
                 windowed.sample("kv_occupancy", t, occupancy)
@@ -533,7 +503,7 @@ class ServingSimulator:
                 pool, epoch = payload
                 if epoch != pool.step_epoch:
                     continue  # step was aborted by a fault; completion is stale
-                self._finish_step(pool, now, pools, finished, push)
+                self._finish_step(pool, now, pools, push)
                 sample_channels(now)
             elif kind == _FAULT:
                 assert isinstance(payload, FaultEvent)
@@ -556,7 +526,7 @@ class ServingSimulator:
             ("serving.prefill_batches", self._n_prefill_batches),
             ("serving.mtp_draft_attempts", self._n_draft_attempts),
             ("serving.mtp_draft_accepted", self._n_draft_accepted),
-            ("serving.requests_completed", self._n_completed),
+            ("serving.requests_completed", tally.completed),
             ("serving.requests_dropped", self._n_dropped),
         ):
             metrics.counter(name).inc(value)
@@ -574,12 +544,11 @@ class ServingSimulator:
             ):
                 metrics.counter(name).inc(value)
             degradation = build_degradation(
-                all_requests,
+                self._phases,
                 fault_events,
-                cfg.slo,
                 horizon=duration,
                 admitted=total_requests,
-                finished=self._n_completed,
+                finished=tally.completed,
                 dropped=self._n_dropped,
                 shed=self._n_shed,
                 retry_dropped=self._n_retry_dropped,
@@ -616,52 +585,23 @@ class ServingSimulator:
                                 "limit": a["limit"],
                             },
                         )
-        if records_kept:
-            report = build_report(
-                finished,
-                cfg.slo,
-                duration,
-                self._n_preemptions,
-                self._n_decode_steps,
-                self._n_prefill_batches,
-                self._n_draft_attempts,
-                self._n_draft_accepted,
-                queue_series.samples,
-                kv_series.samples,
-                degradation=degradation,
-                windows=windows,
-                alerts=alerts,
-            )
-        else:
-            report = build_streaming_report(
-                completed=self._n_completed,
-                slo_met=self._n_slo_met,
-                tokens_generated=self._tokens_generated,
-                ttft=self._ttft_hist,
-                tpot=self._tpot_hist,
-                e2e=self._e2e_hist,
-                duration=duration,
-                preemptions=self._n_preemptions,
-                decode_steps=self._n_decode_steps,
-                prefill_batches=self._n_prefill_batches,
-                draft_attempts=self._n_draft_attempts,
-                draft_accepted=self._n_draft_accepted,
-                channel_samples=channel_samples,
-                queue_sum=queue_sum,
-                queue_max=queue_max,
-                kv_sum=kv_sum,
-                kv_peak=kv_peak,
-                queue_trace=queue_series.samples,
-                kv_trace=kv_series.samples,
-                windows=windows,
-                alerts=alerts,
-            )
+        report = build_report(
+            tally,
+            duration=duration,
+            preemptions=self._n_preemptions,
+            decode_steps=self._n_decode_steps,
+            prefill_batches=self._n_prefill_batches,
+            draft_attempts=self._n_draft_attempts,
+            draft_accepted=self._n_draft_accepted,
+            degradation=degradation,
+            windows=windows,
+            alerts=alerts,
+        )
         self.decode_batch_profile = tuple(
             (batch, count, total / count)
             for batch, (count, total) in sorted(self._batch_profile.items())
         )
         self.dropped = tuple(dropped)
-        self.finished_requests = tuple(finished)  # finish order; () when streaming
         return report
 
     # -- per-request trace helpers ---------------------------------------
@@ -687,7 +627,7 @@ class ServingSimulator:
 
     def _progress(self, now: float) -> None:
         """Fire the progress callback on every 5% of retired requests."""
-        done = self._n_completed + self._n_dropped
+        done = self._tally.completed + self._n_dropped
         if done % self._progress_every == 0 or done == self._progress_total:
             self._on_progress(done, self._progress_total, now)
 
@@ -905,7 +845,6 @@ class ServingSimulator:
         pool: _Pool,
         now: float,
         pools: tuple[_Pool, ...],
-        finished: list[Request],
         push,
     ) -> None:
         cfg = self.config
@@ -933,7 +872,7 @@ class ServingSimulator:
                     request.first_token_time = now
                     request.generated = 1
                 if request.generated >= request.output_tokens:
-                    self._finish_request(request, now, pool, finished, from_active=False)
+                    self._finish_request(request, now, pool, from_active=False)
                 elif cfg.mode == COLOCATED:
                     request.decode_since = now
                     pool.add_active(request)
@@ -980,7 +919,7 @@ class ServingSimulator:
             request.generated = new_generated
             if new_generated >= output_tokens:
                 pool.remove_active(request)
-                self._finish_request(request, now, pool, finished, from_active=True)
+                self._finish_request(request, now, pool, from_active=True)
                 continue
             need = request.prompt_tokens + new_generated + 1
             if need <= request.kv_tokens:
@@ -1015,32 +954,23 @@ class ServingSimulator:
         request: Request,
         now: float,
         pool: _Pool,
-        finished: list[Request],
         from_active: bool,
     ) -> None:
         request.finish_time = now
         pool.kv.free(request.rid)
         request.kv_tokens = 0
-        if self._record_finished is not None:
-            finished.append(request)
-        else:
-            # Streaming: fold the request into the run-level aggregates
-            # and let the object die — nothing retains it past here.
-            self._ttft_hist.observe(request.ttft)
-            if request.has_tpot:
-                self._tpot_hist.observe(request.tpot)
-            self._e2e_hist.observe(request.e2e)
-            self._tokens_generated += request.generated
-            if self.config.slo.met_by(request):
-                self._n_slo_met += 1
-        self._n_completed += 1
+        # Fold the request into the run-level aggregates and let the
+        # object die — nothing retains it past here.
+        met = self._tally.finish(request)
+        if self._phases is not None:
+            self._phases.finish(now, met)
         if self._on_progress is not None:
             self._progress(now)
         windowed = self._windowed
         if windowed is not None:
             windowed.count("finished", now)
             windowed.count("tokens", now, request.generated)
-            if self.config.slo.met_by(request):
+            if met:
                 windowed.count("slo_met", now)
             windowed.observe("ttft", now, request.ttft)
             if request.has_tpot:

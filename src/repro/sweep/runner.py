@@ -166,21 +166,11 @@ class SweepResult:
         of the same spec.  The experiment service serves this as the
         job's report artifact.
         """
-        return {
-            "target": self.target,
-            "seed": self.seed,
-            "version": self.version,
-            "points": [
-                {
-                    "config": p.config,
-                    "seed": p.seed,
-                    "key": p.key,
-                    "result": p.result,
-                    **({"error": p.error} if p.error is not None else {}),
-                }
-                for p in self.points
-            ],
-        }
+        payload = self.payload()
+        del payload["evaluated"], payload["cache_hits"]
+        for point in payload["points"]:
+            del point["cached"]
+        return payload
 
     def to_report_json(self) -> str:
         """Canonical JSON of :meth:`report_payload`."""

@@ -139,8 +139,8 @@ def _serving_target(config: dict, seed: int) -> dict:
         seed=seed,
         # Streaming aggregation by default — sweep points routinely run
         # large request counts, and compact_record only reads aggregate
-        # fields.  record_requests=True opts back into exact per-request
-        # records (identical aggregates, O(requests) memory).
+        # fields.  record_requests=True opts into exact percentiles and
+        # full traces (identical counts, O(requests) memory).
         record_requests=bool(cfg.pop("record_requests", False)),
         faults=FaultSchedule.from_json(faults) if faults else None,
         **({"recovery": RecoveryPolicy(**recovery)} if recovery else {}),

@@ -25,6 +25,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service import server as server_module
 from repro.sweep import SweepSpec, grid, register_target, run_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -326,7 +327,9 @@ def test_faults_payload_accepted_and_validated(tmp_path):
     asyncio.run(_with_server(_config(tmp_path), body))
 
 
-def test_http_error_paths(tmp_path):
+def test_http_error_paths(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+
     async def body(server, client):
         status, payload = await client.get_json("/jobs/nope")
         assert status == 404
@@ -349,6 +352,13 @@ def test_http_error_paths(tmp_path):
             raw = await reader.read()
             assert b"400" in raw.split(b"\r\n", 1)[0], request[:40]
             writer.close()
+        # A client that stalls mid-line is timed out, not waited on forever.
+        reader, writer = await asyncio.open_connection(client.host, client.port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nX-Partial: ")
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(), 10.0)
+        assert b"408" in raw.split(b"\r\n", 1)[0]
+        writer.close()
         assert server.metrics.counter("service.http.errors").value == 0
         # No grid and no points:
         status, _ = await client.post_json("/jobs", {"target": "serving"})

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.serving import SLO, ServingSimulator, SimConfig, WorkloadSpec, build_report
+from repro.obs.metrics import TimeSeries
+from repro.serving import (
+    SLO,
+    ReportTally,
+    ServingSimulator,
+    SimConfig,
+    WorkloadSpec,
+    build_report,
+)
 from repro.serving.workload import Request
 
 
@@ -15,6 +23,26 @@ def _completed(rid, arrival, first_token, finish, generated) -> Request:
         first_token_time=first_token,
         finish_time=finish,
         generated=generated,
+    )
+
+
+def _report(
+    finished: list[Request],
+    duration: float,
+    *,
+    decode_steps: int = 0,
+    prefill_batches: int = 0,
+    samples: tuple[tuple[float, int, float], ...] = (),
+):
+    """Build an exact (record-mode) report from finished requests."""
+    tally = ReportTally(SLO(), TimeSeries("queue"), TimeSeries("kv"), exact=True)
+    for request in finished:
+        tally.finish(request)
+    for sample in samples:
+        tally.sample(*sample)
+    return build_report(
+        tally, duration=duration, preemptions=0, decode_steps=decode_steps,
+        prefill_batches=prefill_batches, draft_attempts=0, draft_accepted=0,
     )
 
 
@@ -42,7 +70,7 @@ def test_report_excludes_degenerate_requests_from_tpot_stats():
         _completed(1, 0.0, 1.0, 2.0, generated=21),  # tpot 0.05
         _completed(2, 0.0, 1.0, 3.0, generated=21),  # tpot 0.1
     ]
-    report = build_report(finished, SLO(), 10.0, 0, 0, 0, 0, 0, [], [])
+    report = _report(finished, 10.0)
     assert report.completed == 3
     # Without the degenerate request pulling in an artificial 0.0:
     assert report.tpot.p50 == pytest.approx(0.075)
@@ -57,14 +85,14 @@ def test_report_excludes_degenerate_requests_from_tpot_stats():
 
 def test_report_all_degenerate_requests():
     finished = [_completed(i, 0.0, 0.5, 0.5, generated=1) for i in range(4)]
-    report = build_report(finished, SLO(), 2.0, 0, 0, 0, 0, 0, [], [])
+    report = _report(finished, 2.0)
     assert report.completed == 4
     assert report.tpot.p99 == 0.0  # empty TPOT distribution, defined as zeros
     assert report.slo_attainment == 1.0
 
 
 def test_zero_duration_rates_are_zero():
-    report = build_report([], SLO(), 0.0, 0, 0, 0, 0, 0, [], [])
+    report = _report([], 0.0)
     assert report.throughput_tokens_per_s == 0.0
     assert report.goodput_requests_per_s == 0.0
     assert report.slo_attainment == 0.0
@@ -90,13 +118,10 @@ def test_simulated_single_token_workload():
 
 def test_compact_record_economics_fields_are_opt_in():
     from repro.serving import compact_record
-    from repro.serving.report import build_report
 
-    report = build_report(
-        [_completed(1, 0.0, 0.5, 2.0, generated=100)],
-        SLO(), duration=10.0, preemptions=0, decode_steps=10,
-        prefill_batches=1, draft_attempts=0, draft_accepted=0,
-        queue_trace=[(0.0, 0)], kv_trace=[(0.0, 0.0)],
+    report = _report(
+        [_completed(1, 0.0, 0.5, 2.0, generated=100)], 10.0,
+        decode_steps=10, prefill_batches=1, samples=((0.0, 0, 0.0),),
     )
     plain = compact_record(report)
     assert "cost_per_token" not in plain and "goodput_tokens_per_s" not in plain
@@ -115,13 +140,8 @@ def test_compact_record_economics_fields_are_opt_in():
 
 def test_compact_record_zero_token_cost_is_null():
     from repro.serving import compact_record
-    from repro.serving.report import build_report
 
-    report = build_report(
-        [], SLO(), duration=0.0, preemptions=0, decode_steps=0,
-        prefill_batches=0, draft_attempts=0, draft_accepted=0,
-        queue_trace=[], kv_trace=[],
-    )
+    report = _report([], 0.0)
     record = compact_record(report, gpus=8, gpu_cost_per_hour=2.0)
     assert record["cost_per_token"] is None
     assert record["goodput_tokens_per_s"] == 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.rng import seeded_generator
+from repro.faults import FaultSchedule
 from repro.inference.serving import ServingConfig, serving_point
 from repro.serving import (
     COLOCATED,
@@ -304,21 +305,36 @@ def test_report_traces_and_rates_consistent():
 # -- streaming vs record equivalence --------------------------------------
 
 
-def test_streaming_matches_record_mode_exactly():
+_SAMPLED_FAULTS = FaultSchedule.sampled(15.0, 50.0, seed=5, targets=("decode",), mttr=8.0)
+
+
+@pytest.mark.parametrize("faults", [None, _SAMPLED_FAULTS], ids=["fault_free", "faults"])
+def test_streaming_matches_record_mode_exactly(faults, monkeypatch):
     """One event engine, two aggregation modes: every exact aggregate is
     identical, and the streaming latency stats equal a reference
-    histogram fed the record run's per-request latencies."""
+    histogram fed the record run's per-request latencies.  Faults do not
+    change that: the degradation report is the same in both modes."""
     from repro.obs.metrics import Histogram
+    from repro.serving.simulator import STREAM_TRACE_POINTS
 
     base = dict(
         workload=WorkloadSpec(request_rate=6.0, num_requests=300, arrival="bursty"),
         mode=DISAGGREGATED,
         seed=5,
+        faults=faults,
     )
-    recorder = ServingSimulator(SimConfig(record_requests=True, **base))
-    rec = recorder.run()
-    streamer = ServingSimulator(SimConfig(**base))
-    stream = streamer.run()
+    finished = []  # (ttft, tpot or None, e2e) in finish order
+    original = ServingSimulator._finish_request
+
+    def capture(self, request, now, *args, **kwargs):
+        original(self, request, now, *args, **kwargs)
+        tpot = request.tpot if request.has_tpot else None
+        finished.append((request.ttft, tpot, request.e2e))
+
+    monkeypatch.setattr(ServingSimulator, "_finish_request", capture)
+    rec = ServingSimulator(SimConfig(record_requests=True, **base)).run()
+    monkeypatch.undo()
+    stream = ServingSimulator(SimConfig(**base)).run()
 
     for field in (
         "completed",
@@ -332,24 +348,27 @@ def test_streaming_matches_record_mode_exactly():
         "goodput_requests_per_s",
         "max_queue_depth",
         "peak_kv_occupancy",
+        "degradation",
     ):
         assert getattr(stream, field) == getattr(rec, field), field
+    assert (rec.degradation is None) == (faults is None)
     # Running sums vs numpy pairwise summation differ only in the last
     # ulp; the means are otherwise the same exact sample sets.
     for field in ("mean_queue_depth", "mean_kv_occupancy"):
         assert getattr(stream, field) == pytest.approx(getattr(rec, field), rel=1e-12)
 
-    # Record mode keeps per-request records; streaming keeps none.
-    assert len(recorder.finished_requests) == rec.completed
-    assert streamer.finished_requests == ()
-    assert rec.degradation is None and stream.degradation is None
+    # Record mode keeps every channel sample; streaming decimates.
+    assert len(finished) == rec.completed
+    assert len(rec.queue_depth_trace) > STREAM_TRACE_POINTS
+    assert len(stream.queue_depth_trace) < STREAM_TRACE_POINTS
+    assert stream.queue_depth_trace[0] == rec.queue_depth_trace[0]
 
     ttft, tpot, e2e = Histogram("ttft"), Histogram("tpot"), Histogram("e2e")
-    for request in recorder.finished_requests:  # finish order, like streaming
-        ttft.observe(request.ttft)
-        if request.has_tpot:
-            tpot.observe(request.tpot)
-        e2e.observe(request.e2e)
+    for request_ttft, request_tpot, request_e2e in finished:  # finish order
+        ttft.observe(request_ttft)
+        if request_tpot is not None:
+            tpot.observe(request_tpot)
+        e2e.observe(request_e2e)
     for hist, stats in ((ttft, stream.ttft), (tpot, stream.tpot), (e2e, stream.e2e)):
         assert stats.mean == hist.mean
         assert stats.max == hist.max

@@ -13,9 +13,12 @@ they compute.  These tests pin that contract bit-for-bit:
 * The Chrome trace file of the same runs is pinned by SHA-256, so span
   timings, ordering and counter samples are byte-identical too.
 
-Two scenarios cover the interesting code paths: a *colocated* run with
-a deliberately tight KV pool (preemption + recompute + MTP) and a
-*disaggregated* run (KV transfer, separate pools, bursty arrivals).
+Three scenarios cover the interesting code paths: a *colocated* run with
+a deliberately tight KV pool (preemption + recompute + MTP), a
+*disaggregated* run (KV transfer, separate pools), and a *faulty*
+disaggregated run (a repaired node fault and a permanent GPU fault:
+aborted steps, evictions, retries, shedding and a ``NEVER`` window,
+with the last finish landing exactly on the run horizon).
 
 Regenerate (only when an intentional behavior change lands) with::
 
@@ -31,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule, RecoveryPolicy
 from repro.obs import Tracer
 from repro.serving import (
     MTPConfig,
@@ -86,10 +89,38 @@ def _disaggregated_config() -> SimConfig:
     )
 
 
+def _faulty_config() -> SimConfig:
+    return SimConfig(
+        workload=WorkloadSpec(
+            request_rate=8.0,
+            num_requests=160,
+            prompt_mean=512,
+            prompt_cv=0.5,
+            output_mean=128,
+            output_cv=0.5,
+            arrival="bursty",
+        ),
+        mode="disaggregated",
+        prefill_gpus=2,
+        decode_gpus=6,
+        seed=11,
+        faults=FaultSchedule(
+            events=(
+                FaultEvent(time=4.0, kind="node", target="decode", mttr=3.0),
+                FaultEvent(time=12.0, kind="gpu", target="decode", count=2),
+            )
+        ),
+        recovery=RecoveryPolicy(retry_budget=1, degraded_queue_limit=12),
+        record_requests=True,
+    )
+
+
 SCENARIOS = {
     "colocated": _colocated_config,
     "disaggregated": _disaggregated_config,
+    "faulty": _faulty_config,
 }
+FAULT_FREE = ("colocated", "disaggregated")
 
 
 def _run(name: str, trace_path: Path, config: SimConfig | None = None) -> dict:
@@ -124,7 +155,7 @@ def test_simreport_matches_golden(name: str, tmp_path: Path) -> None:
     assert json.dumps(current, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", FAULT_FREE)
 def test_null_fault_schedule_is_byte_identical(name: str, tmp_path: Path) -> None:
     """Faults *disabled* must mean exactly that: a config carrying an
     empty :class:`FaultSchedule` (and the default recovery policy) must
@@ -144,6 +175,14 @@ def test_goldens_exercise_interesting_paths(tmp_path: Path) -> None:
     assert colo["mtp_acceptance_measured"] > 0  # MTP draft RNG stream
     assert disagg["preemptions"] == 0
     assert disagg["completed"] == 160  # KV-transfer path end to end
+    faulty = _run("faulty", tmp_path / "f.trace.json")["report"]
+    degradation = faulty["degradation"]
+    assert degradation["shed"] > 0 and degradation["retries"] > 0
+    assert degradation["steps_aborted"] > 0
+    assert degradation["windows"][-1]["end"] == -1.0  # permanent: NEVER
+    assert degradation["admitted"] == (
+        degradation["finished"] + degradation["dropped"] + degradation["unserved"]
+    )
 
 
 def _regen() -> None:
